@@ -52,7 +52,7 @@ use covern_core::problem::VerificationProblem;
 use covern_core::report::VerifyReport;
 use covern_core::CoreError;
 use covern_nn::serialize::content_hash;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -288,14 +288,65 @@ impl CacheStats {
 
 type Bundle = (VerifyReport, ProofArtifacts);
 
-/// One key's slot. The value lock doubles as the single-flight latch;
-/// `computing` is advisory (metrics only): it marks a compute in flight
-/// so a requester about to block can count itself as a single-flight
-/// wait.
+/// How many verdict bundles an [`ArtifactCache`] keeps resident. Beyond
+/// it the least recently used bundle is dropped (its key's slot stays),
+/// so a long-running daemon's memory tracks this constant rather than the
+/// number of distinct instances it has ever verified.
+pub const RESIDENT_BUNDLES: usize = 256;
+
+/// One key's slot: the single-flight latch, alive for the cache's whole
+/// life even after the key's bundle has been evicted. The latch guards
+/// whether the key's first computation has succeeded (and been counted as
+/// the key's one miss). `computing` is advisory (metrics only): it marks
+/// a compute in flight so a requester about to block can count itself as
+/// a single-flight wait.
 #[derive(Debug, Default)]
 struct Slot {
-    value: Mutex<Option<Bundle>>,
+    computed: Mutex<bool>,
     computing: std::sync::atomic::AtomicBool,
+}
+
+/// The resident bundles, least recently used first in `order`. Bundles
+/// are shared so a hit copies one out after the lock is released.
+#[derive(Debug)]
+struct Resident {
+    cap: usize,
+    clock: u64,
+    bundles: HashMap<CacheKey, (u64, Arc<Bundle>)>,
+    order: BTreeMap<u64, CacheKey>,
+}
+
+impl Resident {
+    fn new(cap: usize) -> Self {
+        Self { cap, clock: 0, bundles: HashMap::new(), order: BTreeMap::new() }
+    }
+
+    /// `key`'s bundle, marked most recently used.
+    fn get(&mut self, key: CacheKey) -> Option<Arc<Bundle>> {
+        self.clock += 1;
+        let (used, bundle) = self.bundles.get_mut(&key)?;
+        self.order.remove(used);
+        *used = self.clock;
+        self.order.insert(self.clock, key);
+        Some(Arc::clone(bundle))
+    }
+
+    /// Stores `key`'s bundle as most recently used; returns how many
+    /// least recently used bundles were dropped to stay within the cap.
+    fn insert(&mut self, key: CacheKey, bundle: Arc<Bundle>) -> u64 {
+        self.clock += 1;
+        if let Some((used, _)) = self.bundles.insert(key, (self.clock, bundle)) {
+            self.order.remove(&used);
+        }
+        self.order.insert(self.clock, key);
+        let mut evicted = 0;
+        while self.bundles.len() > self.cap {
+            let (_, oldest) = self.order.pop_first().expect("order tracks every bundle");
+            self.bundles.remove(&oldest);
+            evicted += 1;
+        }
+        evicted
+    }
 }
 
 /// The content-addressed artifact store (see module docs). Cheap to share:
@@ -303,6 +354,7 @@ struct Slot {
 #[derive(Debug)]
 pub struct ArtifactCache {
     slots: Mutex<HashMap<CacheKey, Arc<Slot>>>,
+    resident: Mutex<Resident>,
     hits: AtomicU64,
     misses: AtomicU64,
     proofs: Mutex<HashMap<CacheKey, BnbProofArtifact>>,
@@ -317,6 +369,7 @@ impl Default for ArtifactCache {
     fn default() -> Self {
         Self {
             slots: Mutex::new(HashMap::new()),
+            resident: Mutex::new(Resident::new(RESIDENT_BUNDLES)),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             proofs: Mutex::new(HashMap::new()),
@@ -332,6 +385,14 @@ impl ArtifactCache {
     /// An empty cache.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Replaces the resident bound (tests exercise eviction on small
+    /// request sequences).
+    #[cfg(test)]
+    fn with_resident_cap(self, cap: usize) -> Self {
+        *self.resident.lock().unwrap() = Resident::new(cap);
+        self
     }
 
     /// Enables or disables the proof-level (checkpoint) store. With it
@@ -371,7 +432,8 @@ impl ArtifactCache {
         }
     }
 
-    /// Number of stored (or in-flight) entries.
+    /// Number of distinct instances requested: resident, evicted or in
+    /// flight (eviction never lowers it).
     pub fn len(&self) -> usize {
         self.slots.lock().expect("cache map lock").len()
     }
@@ -400,31 +462,46 @@ impl VerifyCache for ArtifactCache {
         margin: Margin,
         compute: &mut FullVerifyFn<'_>,
     ) -> Result<Bundle, CoreError> {
-        let slot = self.slot(full_verify_key(problem, domain, margin));
+        let key = full_verify_key(problem, domain, margin);
+        let slot = self.slot(key);
         // Advisory wait detection: schedule-dependent by nature, so it
         // only feeds the process-wide metrics, never a report.
         if slot.computing.load(Ordering::Relaxed) {
             covern_observe::metrics().cache_singleflight_waits_total.inc();
         }
-        // Single flight: holding the slot's value lock while computing
-        // makes concurrent same-key requesters wait here, then observe the
-        // stored bundle. Distinct keys never contend (the map lock above
-        // is only held for the entry lookup).
-        let mut value = slot.value.lock().expect("cache slot lock");
-        if let Some(stored) = value.as_ref() {
+        // Single flight: holding the slot's latch while computing makes
+        // concurrent same-key requesters wait here, then observe the
+        // stored bundle. Distinct keys never contend: the map and resident
+        // locks are only held for one lookup or insert, and nothing waits
+        // on a latch while holding either.
+        let mut computed = slot.computed.lock().expect("cache slot lock");
+        let stored = self.resident.lock().expect("resident lock").get(key);
+        if let Some(stored) = stored {
             self.hits.fetch_add(1, Ordering::Relaxed);
             covern_observe::metrics().cache_hits_total.inc();
-            return Ok(stored.clone());
+            return Ok((*stored).clone());
         }
         // Errors propagate without being stored: the next requester
         // re-runs the computation.
         slot.computing.store(true, Ordering::Relaxed);
-        let computed = compute();
+        let result = compute();
         slot.computing.store(false, Ordering::Relaxed);
-        let bundle = computed?;
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        covern_observe::metrics().cache_misses_total.inc();
-        *value = Some(bundle.clone());
+        let bundle = result?;
+        // A key pays one miss, ever. Recomputing an evicted bundle is
+        // deterministic in the key, so it yields the same bytes and counts
+        // as the hit it replaces: hits and misses stay request arithmetic
+        // whatever the resident bound dropped.
+        if *computed {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            covern_observe::metrics().cache_hits_total.inc();
+        } else {
+            *computed = true;
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            covern_observe::metrics().cache_misses_total.inc();
+        }
+        let evicted =
+            self.resident.lock().expect("resident lock").insert(key, Arc::new(bundle.clone()));
+        covern_observe::metrics().cache_evictions_total.add(evicted);
         Ok(bundle)
     }
 
@@ -542,6 +619,79 @@ mod tests {
         assert_eq!(stats.hits, 4);
         assert_eq!(cache.len(), 2);
         assert!((stats.hit_rate() - 4.0 / 6.0).abs() < 1e-12);
+
+        // The same arithmetic under eviction pressure: 24 concurrent
+        // requests over 4 keys through a cache that keeps one bundle.
+        let bounded = Arc::new(ArtifactCache::new().with_resident_cap(1));
+        let problems: Vec<_> = (1..=4).map(|w| tiny_problem(f64::from(w))).collect();
+        std::thread::scope(|scope| {
+            for i in 0..24 {
+                let cache = Arc::clone(&bounded);
+                let problem = problems[i % 4].clone();
+                scope.spawn(move || {
+                    let mut compute = || problem.verify_full(DomainKind::Box, 16);
+                    cache
+                        .full_verify(&problem, DomainKind::Box, Margin::NONE, &mut compute)
+                        .unwrap();
+                    assert!(cache.resident.lock().unwrap().bundles.len() <= 1);
+                });
+            }
+        });
+        let stats = bounded.stats();
+        assert_eq!((stats.misses, stats.hits, bounded.len()), (4, 20, 4));
+    }
+
+    /// A request sequence over more keys than the resident bound: eviction
+    /// changes neither the counters nor a single served byte.
+    #[test]
+    fn bounded_residency_is_invisible_in_counters_and_bytes() {
+        const CAP: usize = 3;
+        let problems: Vec<_> = (1..=8).map(|w| tiny_problem(f64::from(w) * 0.75)).collect();
+        // Forward, backward, then strided: every key is evicted and
+        // requested again at least once.
+        let order: Vec<usize> =
+            (0..8).chain((0..8).rev()).chain((0..8).map(|i| (i * 3) % 8)).collect();
+        let bounded = ArtifactCache::new().with_resident_cap(CAP);
+        let unbounded = ArtifactCache::new();
+        let bytes = |b: &Bundle| {
+            format!("{:?}|{:?}|{}", b.0.outcome, b.0.strategy, serde_json::to_string(&b.1).unwrap())
+        };
+        for &i in &order {
+            let p = &problems[i];
+            let mut compute = || p.verify_full(DomainKind::Box, 16);
+            let got = bounded.full_verify(p, DomainKind::Box, Margin::NONE, &mut compute).unwrap();
+            let want =
+                unbounded.full_verify(p, DomainKind::Box, Margin::NONE, &mut compute).unwrap();
+            assert_eq!(bytes(&got), bytes(&want), "evicted key {i} replayed different bytes");
+            assert!(bounded.resident.lock().unwrap().bundles.len() <= CAP);
+        }
+        assert_eq!(bounded.stats(), unbounded.stats());
+        assert_eq!(bounded.stats().misses, 8);
+        assert_eq!(bounded.stats().hits, order.len() as u64 - 8);
+        assert_eq!(bounded.len(), unbounded.len());
+        assert_eq!(bounded.len(), 8);
+    }
+
+    #[test]
+    fn resident_set_drops_the_least_recently_used_bundle() {
+        let problems: Vec<_> = (1..=3).map(|w| tiny_problem(f64::from(w))).collect();
+        let cache = ArtifactCache::new().with_resident_cap(2);
+        let keys: Vec<_> =
+            problems.iter().map(|p| full_verify_key(p, DomainKind::Box, Margin::NONE)).collect();
+        let request = |i: usize| {
+            let p = &problems[i];
+            let mut compute = || p.verify_full(DomainKind::Box, 16);
+            cache.full_verify(p, DomainKind::Box, Margin::NONE, &mut compute).unwrap();
+        };
+        request(0);
+        request(1);
+        request(0); // 1 is now the least recently used
+        request(2);
+        let resident = cache.resident.lock().unwrap();
+        assert!(resident.bundles.contains_key(&keys[0]));
+        assert!(!resident.bundles.contains_key(&keys[1]));
+        assert!(resident.bundles.contains_key(&keys[2]));
+        assert_eq!(resident.order.len(), 2);
     }
 
     #[test]

@@ -7,32 +7,31 @@ use covern_tensor::{Matrix, Rng};
 use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
-/// The compiled kernel forms of one layer's weights: the sign-split matrix
-/// the fused interval transformers run on, and the packed transpose the
-/// batched forward kernel streams.
-#[derive(Debug)]
-struct LayerKernel {
-    split: SplitMatrix,
-    /// `in_dim × out_dim` transpose of the weights.
-    wt: Matrix,
-}
-
-/// Lazily compiled kernel state of a layer ([`LayerKernel`]).
+/// Lazily compiled kernel state of a layer: the sign-split matrix the
+/// interval transformers run on and the packed transpose the batched
+/// forward kernel streams, each built on its own first use — a layer only
+/// ever propagated as a box never packs a transpose, and a layer only ever
+/// evaluated on points never splits.
 ///
 /// Never serialized (`#[serde(skip)]`), never compared (all caches are
 /// equal), and never cloned (a clone starts empty and recompiles on first
 /// use) — it is a pure derivative of the weight matrix, invalidated by
 /// [`DenseLayer::weights_mut`].
-pub(crate) struct KernelCache(OnceLock<LayerKernel>);
+#[derive(Default)]
+pub(crate) struct KernelCache {
+    split: OnceLock<SplitMatrix>,
+    /// `in_dim × out_dim` transpose of the weights.
+    wt: OnceLock<Matrix>,
+}
 
-impl Default for KernelCache {
-    fn default() -> Self {
-        Self(OnceLock::new())
+impl KernelCache {
+    fn is_compiled(&self) -> bool {
+        self.split.get().is_some() || self.wt.get().is_some()
     }
 }
 
 impl Clone for KernelCache {
-    /// Clones start cold: the split weights recompile lazily against the
+    /// Clones start cold: the kernel forms recompile lazily against the
     /// (possibly about-to-be-mutated) cloned weights.
     fn clone(&self) -> Self {
         Self::default()
@@ -48,11 +47,7 @@ impl PartialEq for KernelCache {
 
 impl std::fmt::Debug for KernelCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(if self.0.get().is_some() {
-            "KernelCache(compiled)"
-        } else {
-            "KernelCache(cold)"
-        })
+        f.write_str(if self.is_compiled() { "KernelCache(compiled)" } else { "KernelCache(cold)" })
     }
 }
 
@@ -75,7 +70,7 @@ pub struct DenseLayer {
     weights: Matrix,
     bias: Vec<f64>,
     activation: Activation,
-    /// Lazily compiled split weights; see [`Self::split_weights`].
+    /// Lazily compiled kernel forms; see [`Self::split_weights`].
     #[serde(skip)]
     kernel: KernelCache,
 }
@@ -138,21 +133,18 @@ impl DenseLayer {
     /// [`split_weights`](Self::split_weights) call recompiles against the
     /// mutated weights.
     pub fn weights_mut(&mut self) -> &mut Matrix {
-        if self.kernel.0.get().is_some() {
+        if self.kernel.is_compiled() {
             covern_observe::metrics().kernel_invalidations_total.inc();
         }
         self.kernel = KernelCache::default();
         &mut self.weights
     }
 
-    /// The layer's compiled kernel forms, built on first use.
-    fn kernel(&self) -> &LayerKernel {
-        self.kernel.0.get_or_init(|| {
+    /// The layer's packed weight transpose, built on first use.
+    fn packed_transpose(&self) -> &Matrix {
+        self.kernel.wt.get_or_init(|| {
             covern_observe::metrics().kernel_compiles_total.inc();
-            LayerKernel {
-                split: SplitMatrix::compile(&self.weights),
-                wt: kernels::pack_transpose(&self.weights),
-            }
+            kernels::pack_transpose(&self.weights)
         })
     }
 
@@ -163,7 +155,10 @@ impl DenseLayer {
     /// fused interval propagation on; caching it here means branch-and-bound
     /// pays the split once per layer instead of once per explored subbox.
     pub fn split_weights(&self) -> &SplitMatrix {
-        &self.kernel().split
+        self.kernel.split.get_or_init(|| {
+            covern_observe::metrics().kernel_compiles_total.inc();
+            SplitMatrix::compile(&self.weights)
+        })
     }
 
     /// The bias vector.
@@ -227,10 +222,10 @@ impl DenseLayer {
     pub fn forward_batch(&self, x: &Matrix) -> Matrix {
         let mut y = match kernels::kernel_mode() {
             kernels::KernelMode::Deterministic => {
-                kernels::batch_affine_packed(x, &self.kernel().wt, &self.bias)
+                kernels::batch_affine_packed(x, self.packed_transpose(), &self.bias)
             }
             kernels::KernelMode::Outward => {
-                kernels::batch_affine_outward(x, &self.kernel().wt, &self.bias)
+                kernels::batch_affine_outward(x, self.packed_transpose(), &self.bias)
             }
         };
         self.activation.apply_in_place(y.as_mut_slice());

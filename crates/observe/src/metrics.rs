@@ -365,11 +365,13 @@ declare_metrics! {
         "Requests answered with an Error reply (malformed, bad version, unknown session, invalid problem, shutting down).";
     // -- shared artifact cache ---------------------------------------
     counter cache_hits_total => "covern_cache_hits_total":
-        "Artifact-cache requests served from a stored full-verification bundle.";
+        "Artifact-cache requests for an already verified key (served from a resident bundle, or recomputed after eviction).";
     counter cache_misses_total => "covern_cache_misses_total":
-        "Artifact-cache requests that ran the underlying full verification.";
+        "Artifact-cache requests that ran a key's first full verification.";
     counter cache_singleflight_waits_total => "covern_cache_singleflight_waits_total":
         "Cache requests that blocked on another requester computing the same key (schedule-dependent).";
+    counter cache_evictions_total => "covern_cache_evictions_total":
+        "Full-verification bundles dropped by the resident LRU bound; a later request for the key recomputes it (counted as a hit).";
     counter proof_warmstart_hits_total => "covern_proof_warmstart_hits_total":
         "Proof-cache lookups that found a reusable B&B checkpoint for the instance's fine-tune family.";
     counter proof_warmstart_misses_total => "covern_proof_warmstart_misses_total":

@@ -16,8 +16,8 @@
 
 use crate::error::ServiceError;
 use crate::protocol::{
-    decode, encode, CheckpointState, Command, DeltaParams, OpenParams, Reply, Request, Response,
-    ServerInfo, SessionOpened, SessionRef, SessionSummary, StatsSnapshot, VerdictEvent,
+    decode, write_frame, CheckpointState, Command, DeltaParams, OpenParams, Reply, Request,
+    Response, ServerInfo, SessionOpened, SessionRef, SessionSummary, StatsSnapshot, VerdictEvent,
 };
 use covern_campaign::{DeltaEvent, Scenario};
 use std::io::{BufRead, BufReader, Read, Write};
@@ -40,7 +40,7 @@ impl Client {
     ///
     /// Returns [`ServiceError::Io`] if the connection fails.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, ServiceError> {
-        let stream = TcpStream::connect(addr)?;
+        let stream = dial(addr)?;
         let write_half = stream.try_clone()?;
         Ok(Self::over(Box::new(stream), Box::new(write_half)))
     }
@@ -55,15 +55,12 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// Returns [`ServiceError::Io`] on write failure or
-    /// [`ServiceError::Encode`] if the command does not serialize.
+    /// Returns [`ServiceError::Io`] on write failure (including a
+    /// command that does not serialize).
     pub fn send(&mut self, cmd: Command) -> Result<u64, ServiceError> {
         let id = self.next_id;
         self.next_id += 1;
-        let line =
-            encode(&Request::new(id, cmd)).map_err(|e| ServiceError::Encode(e.to_string()))?;
-        writeln!(self.writer, "{line}")?;
-        self.writer.flush()?;
+        write_frame(&mut self.writer, &Request::new(id, cmd))?;
         Ok(id)
     }
 
@@ -257,6 +254,16 @@ impl Client {
     }
 }
 
+/// Opens a client TCP stream with Nagle's algorithm off: requests are
+/// single-write frames, and a closed-loop client waits on each reply, so
+/// holding a frame back for coalescing only adds the peer's delayed-ACK
+/// time to every round trip.
+fn dial(addr: impl ToSocketAddrs) -> std::io::Result<TcpStream> {
+    let stream = TcpStream::connect(addr)?;
+    stream.set_nodelay(true)?;
+    Ok(stream)
+}
+
 impl std::fmt::Debug for Client {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Client")
@@ -335,4 +342,30 @@ pub fn replay_corpus(
         total.unknown += one.unknown;
     }
     Ok(total)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::CountingWriter;
+
+    #[test]
+    fn tcp_client_streams_have_nagle_off() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let stream = dial(listener.local_addr().unwrap()).unwrap();
+        assert!(stream.nodelay().unwrap());
+    }
+
+    #[test]
+    fn every_request_is_one_write() {
+        let wire = CountingWriter::default();
+        let mut client = Client::over(Box::new(std::io::empty()), Box::new(wire.clone()));
+        for (i, cmd) in [Command::Hello, Command::Stats, Command::Metrics].into_iter().enumerate() {
+            client.send(cmd).unwrap();
+            assert_eq!(wire.writes(), i + 1, "one write per frame");
+        }
+        let text = String::from_utf8(wire.bytes()).unwrap();
+        let ids: Vec<u64> = text.lines().map(|l| decode::<Request>(l).unwrap().id).collect();
+        assert_eq!(ids, [1, 2, 3]);
+    }
 }

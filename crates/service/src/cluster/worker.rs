@@ -17,7 +17,7 @@
 //! engine).
 
 use crate::protocol::{
-    decode, encode, Command, DeltaParams, ErrorInfo, OpenParams, Reply, Request, ResumeParams,
+    decode, write_frame, Command, DeltaParams, ErrorInfo, OpenParams, Reply, Request, ResumeParams,
     SessionOpened, SessionRef, StatsSnapshot,
 };
 use covern_campaign::report::EventRecord;
@@ -293,11 +293,16 @@ impl Drop for WorkerHandle {
 
 /// A blocking protocol client with a per-request read deadline (see
 /// module docs).
-#[derive(Debug)]
 pub struct WireClient {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
+    reader: BufReader<Box<dyn Read + Send>>,
+    writer: Box<dyn Write + Send>,
     next_id: u64,
+}
+
+impl std::fmt::Debug for WireClient {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("WireClient").field("next_id", &self.next_id).finish()
+    }
 }
 
 impl WireClient {
@@ -313,11 +318,14 @@ impl WireClient {
             .map_err(|e| WireFault::Connect(e.to_string()))?
             .next()
             .ok_or_else(|| WireFault::Connect(format!("no address for {addr}")))?;
-        let stream = TcpStream::connect_timeout(&sockaddr, deadline)
-            .map_err(|e| WireFault::Connect(e.to_string()))?;
-        stream.set_read_timeout(Some(deadline)).map_err(|e| WireFault::Connect(e.to_string()))?;
+        let stream = dial(&sockaddr, deadline).map_err(|e| WireFault::Connect(e.to_string()))?;
         let writer = stream.try_clone().map_err(|e| WireFault::Connect(e.to_string()))?;
-        Ok(Self { reader: BufReader::new(stream), writer, next_id: 0 })
+        Ok(Self::over(Box::new(stream), Box::new(writer)))
+    }
+
+    /// Builds a client over arbitrary transport halves.
+    fn over(reader: Box<dyn Read + Send>, writer: Box<dyn Write + Send>) -> Self {
+        Self { reader: BufReader::new(reader), writer, next_id: 0 }
     }
 
     /// Sends one command and blocks for its reply (replies with other
@@ -331,10 +339,13 @@ impl WireClient {
     pub fn request(&mut self, cmd: Command) -> Result<Reply, WireFault> {
         self.next_id += 1;
         let id = self.next_id;
-        let line =
-            encode(&Request::new(id, cmd)).map_err(|e| WireFault::Malformed(e.to_string()))?;
-        writeln!(self.writer, "{line}").map_err(|_| WireFault::Disconnected)?;
-        self.writer.flush().map_err(|_| WireFault::Disconnected)?;
+        write_frame(&mut self.writer, &Request::new(id, cmd)).map_err(|e| {
+            if e.kind() == std::io::ErrorKind::InvalidData {
+                WireFault::Malformed(e.to_string())
+            } else {
+                WireFault::Disconnected
+            }
+        })?;
         loop {
             let mut reply_line = String::new();
             match self.reader.read_line(&mut reply_line) {
@@ -468,4 +479,50 @@ impl WireClient {
 
 fn unexpected(wanted: &str, got: &Reply) -> WireFault {
     WireFault::Malformed(format!("expected {wanted}, got {got:?}"))
+}
+
+/// Opens a coordinator→worker stream: `deadline` bounds the connect and
+/// every reply read, and Nagle's algorithm is off — the coordinator waits
+/// on each single-write request's reply, so coalescing only adds the
+/// worker's delayed-ACK time to every round trip.
+fn dial(addr: &std::net::SocketAddr, deadline: Duration) -> std::io::Result<TcpStream> {
+    let stream = TcpStream::connect_timeout(addr, deadline)?;
+    stream.set_read_timeout(Some(deadline))?;
+    stream.set_nodelay(true)?;
+    Ok(stream)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::{encode, CountingWriter, Response};
+
+    #[test]
+    fn coordinator_streams_have_nagle_off() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let stream = dial(&listener.local_addr().unwrap(), Duration::from_secs(5)).unwrap();
+        assert!(stream.nodelay().unwrap());
+        assert_eq!(stream.read_timeout().unwrap(), Some(Duration::from_secs(5)));
+    }
+
+    #[test]
+    fn every_request_is_one_write() {
+        let replies = format!(
+            "{}\n{}\n",
+            encode(&Response::new(1, Reply::ShuttingDown)).unwrap(),
+            encode(&Response::new(2, Reply::ShuttingDown)).unwrap()
+        );
+        let wire = CountingWriter::default();
+        let mut client = WireClient::over(
+            Box::new(std::io::Cursor::new(replies.into_bytes())),
+            Box::new(wire.clone()),
+        );
+        client.shutdown().unwrap();
+        assert_eq!(wire.writes(), 1, "one write per frame");
+        client.shutdown().unwrap();
+        assert_eq!(wire.writes(), 2);
+        let text = String::from_utf8(wire.bytes()).unwrap();
+        let ids: Vec<u64> = text.lines().map(|l| decode::<Request>(l).unwrap().id).collect();
+        assert_eq!(ids, [1, 2]);
+    }
 }

@@ -87,12 +87,8 @@ impl WriterResponder {
 
 impl Respond for WriterResponder {
     fn send(&self, response: &Response) {
-        let Ok(line) = crate::protocol::encode(response) else {
-            return;
-        };
         let mut w = self.writer.lock().expect("responder lock");
-        let _ = writeln!(w, "{line}");
-        let _ = w.flush();
+        let _ = crate::protocol::write_frame(&mut *w, response);
     }
 }
 
@@ -646,6 +642,20 @@ mod tests {
             "timed out waiting for {n} responses; got {:?}",
             rec.responses.lock().unwrap().len()
         );
+    }
+
+    #[test]
+    fn writer_responder_sends_each_response_in_one_write() {
+        let wire = crate::protocol::CountingWriter::default();
+        let responder = WriterResponder::new(Box::new(wire.clone()));
+        responder.send(&Response::new(1, Reply::ShuttingDown));
+        let info = ErrorInfo::new(ErrorCode::UnknownSession, "no such session");
+        responder.send(&Response::new(2, Reply::Error(info)));
+        assert_eq!(wire.writes(), 2, "one write per frame");
+        let text = String::from_utf8(wire.bytes()).unwrap();
+        let ids: Vec<u64> =
+            text.lines().map(|l| crate::protocol::decode::<Response>(l).unwrap().id).collect();
+        assert_eq!(ids, [1, 2]);
     }
 
     #[test]

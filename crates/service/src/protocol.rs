@@ -367,6 +367,30 @@ pub fn encode<T: Serialize>(msg: &T) -> Result<String, serde_json::Error> {
     serde_json::to_string(msg)
 }
 
+/// Writes one message as one wire frame: the encoded line and its `\n`
+/// terminator leave in a single `write_all`, then the writer is flushed.
+///
+/// One frame is one write. A frame written in two pieces (body, then
+/// `\n`) on a TCP stream sends the one-byte tail as a second small
+/// segment, which Nagle's algorithm holds until the peer's delayed ACK —
+/// tens of milliseconds per round trip. Every sender in the crate (client,
+/// server responder, cluster coordinator) goes through this function.
+///
+/// # Errors
+///
+/// Returns the writer's [`std::io::Error`]; an encoding failure is
+/// reported as [`std::io::ErrorKind::InvalidData`].
+pub fn write_frame<T: Serialize>(
+    w: &mut (impl std::io::Write + ?Sized),
+    msg: &T,
+) -> std::io::Result<()> {
+    let mut frame = encode(msg)
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
+    frame.push('\n');
+    w.write_all(frame.as_bytes())?;
+    w.flush()
+}
+
 /// Parses one wire line as a message.
 ///
 /// # Errors
@@ -374,6 +398,39 @@ pub fn encode<T: Serialize>(msg: &T) -> Result<String, serde_json::Error> {
 /// Returns [`serde_json::Error`] on malformed JSON or a shape mismatch.
 pub fn decode<T: Deserialize>(line: &str) -> Result<T, serde_json::Error> {
     serde_json::from_str(line.trim())
+}
+
+/// A [`std::io::Write`] that records every `write` call, for asserting
+/// that each sender puts one frame on the wire in one write.
+#[cfg(test)]
+#[derive(Clone, Default)]
+pub(crate) struct CountingWriter(std::sync::Arc<std::sync::Mutex<(usize, Vec<u8>)>>);
+
+#[cfg(test)]
+impl CountingWriter {
+    /// Number of `write` calls so far.
+    pub(crate) fn writes(&self) -> usize {
+        self.0.lock().unwrap().0
+    }
+
+    /// Everything written so far.
+    pub(crate) fn bytes(&self) -> Vec<u8> {
+        self.0.lock().unwrap().1.clone()
+    }
+}
+
+#[cfg(test)]
+impl std::io::Write for CountingWriter {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        let mut state = self.0.lock().unwrap();
+        state.0 += 1;
+        state.1.extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -518,5 +575,17 @@ mod tests {
         let line = format!("{{\"v\":\"{PROTOCOL_VERSION}\",\"id\":1,\"cmd\":\"Explode\"}}");
         assert!(decode::<Request>(&line).is_err());
         assert!(decode::<Request>("not json").is_err());
+    }
+
+    #[test]
+    fn write_frame_is_one_terminated_line_in_one_write() {
+        let mut w = CountingWriter::default();
+        let req = Request::new(7, Command::Stats);
+        write_frame(&mut w, &req).unwrap();
+        assert_eq!(w.writes(), 1, "body and newline leave together");
+        let bytes = w.bytes();
+        assert_eq!(bytes, format!("{}\n", encode(&req).unwrap()).into_bytes());
+        let back: Request = decode(std::str::from_utf8(&bytes).unwrap()).unwrap();
+        assert_eq!(back.id, 7);
     }
 }

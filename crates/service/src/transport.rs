@@ -138,7 +138,7 @@ fn connection_loop(stream: TcpStream, service: &Arc<Service>, local_addr: Option
     let peer = stream.peer_addr().map(|a| a.to_string()).unwrap_or_else(|_| "unknown".to_owned());
     metrics().connections_active.inc();
     obs_info!("connection accepted", conn = conn, peer = peer);
-    let _ = stream.set_read_timeout(Some(READ_POLL));
+    prepare_accepted(&stream);
     let Ok(write_half) = stream.try_clone() else {
         metrics().connections_active.dec();
         obs_info!("connection closed", conn = conn, peer = peer);
@@ -181,6 +181,15 @@ fn connection_loop(stream: TcpStream, service: &Arc<Service>, local_addr: Option
     obs_info!("connection closed", conn = conn, peer = peer);
 }
 
+/// Socket options of an accepted connection: the short read timeout the
+/// shutdown poll relies on, and Nagle's algorithm off. Replies are
+/// single-write frames and the peer waits on each one, so coalescing only
+/// holds a reply back until the client's delayed ACK.
+fn prepare_accepted(stream: &TcpStream) {
+    let _ = stream.set_read_timeout(Some(READ_POLL));
+    let _ = stream.set_nodelay(true);
+}
+
 /// The address the shutdown self-wake connects to. A daemon bound to a
 /// wildcard address (`0.0.0.0` / `::`) cannot reliably connect *to* that
 /// address on every platform, so the wake targets the loopback of the
@@ -209,6 +218,16 @@ mod tests {
         assert_eq!(wake_addr(v6), "[::1]:7071".parse().unwrap());
         let concrete: SocketAddr = "192.168.1.5:9".parse().unwrap();
         assert_eq!(wake_addr(concrete), concrete);
+    }
+
+    #[test]
+    fn accepted_streams_have_nagle_off() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        prepare_accepted(&accepted);
+        assert!(accepted.nodelay().unwrap());
+        assert_eq!(accepted.read_timeout().unwrap(), Some(READ_POLL));
     }
 
     #[test]

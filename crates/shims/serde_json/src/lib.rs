@@ -9,7 +9,7 @@
 
 pub use serde::Value;
 use serde::{DeError, Deserialize, Number, Serialize};
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Serialization/deserialization error.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -75,16 +75,18 @@ fn write_value(v: &Value, out: &mut String) {
 }
 
 fn write_number(n: Number, out: &mut String) {
-    match n {
-        Number::U(u) => out.push_str(&u.to_string()),
-        Number::I(i) => out.push_str(&i.to_string()),
-        Number::F(x) if x.is_nan() => out.push_str("NaN"),
-        Number::F(x) if x == f64::INFINITY => out.push_str("Infinity"),
-        Number::F(x) if x == f64::NEG_INFINITY => out.push_str("-Infinity"),
+    // Formatting straight into `out` (writing to a `String` cannot fail)
+    // keeps number-heavy payloads — weight matrices — allocation-free.
+    let _ = match n {
+        Number::U(u) => write!(out, "{u}"),
+        Number::I(i) => write!(out, "{i}"),
+        Number::F(x) if x.is_nan() => out.write_str("NaN"),
+        Number::F(x) if x == f64::INFINITY => out.write_str("Infinity"),
+        Number::F(x) if x == f64::NEG_INFINITY => out.write_str("-Infinity"),
         // `{:?}` prints the shortest decimal that round-trips the f64
         // bit-exactly, which the serialization tests rely on.
-        Number::F(x) => out.push_str(&format!("{x:?}")),
-    }
+        Number::F(x) => write!(out, "{x:?}"),
+    };
 }
 
 fn write_string(s: &str, out: &mut String) {
@@ -96,7 +98,9 @@ fn write_string(s: &str, out: &mut String) {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
@@ -258,12 +262,17 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (multi-byte safe).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().expect("nonempty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Consume a run of unescaped characters up to the next
+                    // quote or backslash. Both are ASCII, so the run ends
+                    // on a character boundary and each input byte is
+                    // validated once, whatever the string's length.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
+                        .map_err(|_| Error(format!("invalid UTF-8 at byte {start}")))?;
+                    out.push_str(run);
                 }
             }
         }
@@ -357,6 +366,35 @@ mod tests {
         let x = 0.1f64 + 0.2f64;
         let back: f64 = from_str(&to_string(&x).unwrap()).unwrap();
         assert_eq!(back.to_bits(), x.to_bits());
+    }
+
+    #[test]
+    fn multi_byte_characters_round_trip() {
+        // 2-, 3- and 4-byte characters, escapes between them, and a 4-byte
+        // character as the last thing before the closing quote at the very
+        // end of the input.
+        for s in ["é", "aé€😀b", "x\n😀\"€", "😀", "\u{1F600}\u{7f}"] {
+            let json = to_string(&s).unwrap();
+            assert_eq!(from_str::<String>(&json).unwrap(), s, "{json}");
+        }
+        assert_eq!(from_str::<String>("\"ab😀\"").unwrap(), "ab😀");
+        assert_eq!(from_str::<Vec<String>>("[\"€\",\"😀\"]").unwrap(), ["€", "😀"]);
+        assert_eq!(from_str::<String>("\"\\u00e9\\u20ac\"").unwrap(), "é€");
+    }
+
+    #[test]
+    fn rejects_bad_escapes_and_invalid_utf8() {
+        assert!(parse("\"\\x\"").is_err(), "unknown escape");
+        assert!(parse("\"\\u12\"").is_err(), "truncated \\u escape");
+        assert!(parse("\"\\uzzzz\"").is_err(), "non-hex \\u escape");
+        assert!(parse("\"\\ud800\"").is_err(), "lone surrogate");
+        assert!(parse("\"😀").is_err(), "unterminated after a 4-byte character");
+        // Byte-level input that is not UTF-8 (a lone continuation byte, a
+        // truncated 4-byte sequence) is rejected by the string scanner.
+        for bytes in [&b"\"a\x80\""[..], &b"\"\xf0\x9f\x98\""[..]] {
+            let mut p = Parser { bytes, pos: 0 };
+            assert!(p.string().is_err(), "{bytes:?}");
+        }
     }
 
     #[test]

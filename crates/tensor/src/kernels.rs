@@ -71,6 +71,7 @@
 
 use crate::matrix::Matrix;
 use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::OnceLock;
 
 /// Which kernel family the reachability hot paths run on.
 ///
@@ -137,8 +138,9 @@ fn axpy(dst: &mut [f64], a: f64, src: &[f64]) {
 }
 
 /// A weight matrix split once into its positive part `max(w, 0)` and
-/// negative part `min(w, 0)`, stored both row-major (for coefficient-matrix
-/// sweeps) and transpose-packed (for the vectorised interval matvec).
+/// negative part `min(w, 0)`, transpose-packed for the vectorised interval
+/// matvec, with every other kernel layout derived from that split on first
+/// use.
 ///
 /// The split is what makes interval propagation branch-free: with
 /// `pos + neg = w` and the parts sign-disjoint,
@@ -153,6 +155,26 @@ fn axpy(dst: &mut [f64], a: f64, src: &[f64]) {
 /// per layer *per network*, not once per propagated box — the difference
 /// between O(layers) and O(layers × boxes) splits in branch-and-bound.
 ///
+/// # Layouts
+///
+/// [`compile`](Self::compile) builds only the transpose-packed split (two
+/// copies of the weights' size): every Deterministic domain reads it, and
+/// the default box path reads nothing else. The other layouts are built
+/// from it on first use, each in its own [`OnceLock`], with the same
+/// element formulas as an eager build, so every kernel result is
+/// bit-identical whichever layouts exist:
+///
+/// * the row-major split (the coefficient-matrix sweeps of
+///   [`fused_interval_matmul`](Self::fused_interval_matmul) and its
+///   Outward twin);
+/// * the Outward midpoint–radius pair `w_t = pos + neg`,
+///   `abs_t = pos − neg` (only [`fused_interval_matvec_outward`]).
+///
+/// Equality compares the weights the split encodes, never which layouts
+/// happen to be built.
+///
+/// [`fused_interval_matvec_outward`]: Self::fused_interval_matvec_outward
+///
 /// # Example
 ///
 /// ```
@@ -164,56 +186,89 @@ fn axpy(dst: &mut [f64], a: f64, src: &[f64]) {
 /// s.fused_interval_matvec(&[-1.0, -1.0], &[1.0, 1.0], &[0.0], &mut lo, &mut hi);
 /// assert_eq!((lo[0], hi[0]), (-3.0, 3.0));
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct SplitMatrix {
     rows: usize,
     cols: usize,
-    /// Row-major `max(w, 0)`.
-    pos: Vec<f64>,
-    /// Row-major `min(w, 0)`.
-    neg: Vec<f64>,
     /// Transpose-packed `max(w, 0)`: entry `(j, i)` at `j·rows + i`.
     pos_t: Vec<f64>,
     /// Transpose-packed `min(w, 0)`.
     neg_t: Vec<f64>,
-    /// Transpose-packed original weights `w` (for the Outward
-    /// midpoint–radius matvec).
-    w_t: Vec<f64>,
-    /// Transpose-packed absolute weights `|w|`.
-    abs_t: Vec<f64>,
     /// Per-row `Σ_j |w_ij|` — the magnitude budget the Outward kernels
-    /// scale their rounding compensation by.
+    /// scale their rounding compensation by (one value per row, so it is
+    /// built with the split rather than on demand).
     rowabs: Vec<f64>,
+    /// Row-major `(max(w, 0), min(w, 0))`, built on first use.
+    row_major: OnceLock<(Vec<f64>, Vec<f64>)>,
+    /// Transpose-packed `(w, |w|)` for the Outward midpoint–radius matvec,
+    /// built on first use.
+    mid_rad: OnceLock<(Vec<f64>, Vec<f64>)>,
+}
+
+impl PartialEq for SplitMatrix {
+    /// Equal iff the encoded weights are equal; built layouts are ignored
+    /// (they are pure functions of the split).
+    fn eq(&self, other: &Self) -> bool {
+        (self.rows, self.cols) == (other.rows, other.cols)
+            && self.pos_t == other.pos_t
+            && self.neg_t == other.neg_t
+    }
 }
 
 impl SplitMatrix {
-    /// Splits `w` into positive and negative parts and packs both layouts.
+    /// Splits `w` into positive and negative parts and transpose-packs
+    /// them; the other layouts follow on first use.
     pub fn compile(w: &Matrix) -> Self {
         let (rows, cols) = w.shape();
         let data = w.as_slice();
-        let mut pos = Vec::with_capacity(data.len());
-        let mut neg = Vec::with_capacity(data.len());
-        for &v in data {
-            pos.push(v.max(0.0));
-            neg.push(v.min(0.0));
-        }
         let mut pos_t = vec![0.0; data.len()];
         let mut neg_t = vec![0.0; data.len()];
-        let mut w_t = vec![0.0; data.len()];
-        let mut abs_t = vec![0.0; data.len()];
         let mut rowabs = vec![0.0; rows];
         for i in 0..rows {
             for j in 0..cols {
-                let p = pos[i * cols + j];
-                let n = neg[i * cols + j];
+                let v = data[i * cols + j];
+                let (p, n) = (v.max(0.0), v.min(0.0));
                 pos_t[j * rows + i] = p;
                 neg_t[j * rows + i] = n;
-                w_t[j * rows + i] = p + n;
-                abs_t[j * rows + i] = p - n;
                 rowabs[i] += p - n;
             }
         }
-        Self { rows, cols, pos, neg, pos_t, neg_t, w_t, abs_t, rowabs }
+        Self {
+            rows,
+            cols,
+            pos_t,
+            neg_t,
+            rowabs,
+            row_major: OnceLock::new(),
+            mid_rad: OnceLock::new(),
+        }
+    }
+
+    /// The row-major split `(pos, neg)`: entry `(i, j)` at `i·cols + j`.
+    fn row_major(&self) -> (&[f64], &[f64]) {
+        let (pos, neg) = self.row_major.get_or_init(|| {
+            let (rows, cols) = (self.rows, self.cols);
+            let mut pos = vec![0.0; self.pos_t.len()];
+            let mut neg = vec![0.0; self.neg_t.len()];
+            for j in 0..cols {
+                for i in 0..rows {
+                    pos[i * cols + j] = self.pos_t[j * rows + i];
+                    neg[i * cols + j] = self.neg_t[j * rows + i];
+                }
+            }
+            (pos, neg)
+        });
+        (pos, neg)
+    }
+
+    /// The transpose-packed Outward pair `(w_t, abs_t)`.
+    fn mid_rad(&self) -> (&[f64], &[f64]) {
+        let (w_t, abs_t) = self.mid_rad.get_or_init(|| {
+            let w_t = self.pos_t.iter().zip(&self.neg_t).map(|(&p, &n)| p + n).collect();
+            let abs_t = self.pos_t.iter().zip(&self.neg_t).map(|(&p, &n)| p - n).collect();
+            (w_t, abs_t)
+        });
+        (w_t, abs_t)
     }
 
     /// Number of rows (output dimension of the affine map).
@@ -283,11 +338,12 @@ impl SplitMatrix {
         assert_eq!(lo.shape(), hi.shape(), "lo/hi shape mismatch");
         assert_eq!(lo.rows(), self.cols, "inner dimension mismatch");
         let d = lo.cols();
+        let (pos, neg) = self.row_major();
         let mut lo_out = Matrix::zeros(self.rows, d);
         let mut hi_out = Matrix::zeros(self.rows, d);
         for i in 0..self.rows {
-            let p = &self.pos[i * self.cols..(i + 1) * self.cols];
-            let n = &self.neg[i * self.cols..(i + 1) * self.cols];
+            let p = &pos[i * self.cols..(i + 1) * self.cols];
+            let n = &neg[i * self.cols..(i + 1) * self.cols];
             for j in 0..self.cols {
                 let (pj, nj) = (p[j], n[j]);
                 if pj == 0.0 && nj == 0.0 {
@@ -340,6 +396,7 @@ impl SplitMatrix {
         assert_eq!(lo_out.len(), self.rows, "lo_out length mismatch");
         assert_eq!(hi_out.len(), self.rows, "hi_out length mismatch");
         let rows = self.rows;
+        let (w_t, abs_t) = self.mid_rad();
         // lo_out accumulates the midpoint image yc (seeded with the exact
         // bias), hi_out the radius image yr.
         lo_out.copy_from_slice(bias);
@@ -352,14 +409,14 @@ impl SplitMatrix {
             let (c2, r2) = (0.5 * (lo[j + 2] + hi[j + 2]), 0.5 * (hi[j + 2] - lo[j + 2]));
             let (c3, r3) = (0.5 * (lo[j + 3] + hi[j + 3]), 0.5 * (hi[j + 3] - lo[j + 3]));
             mmax = mmax.max(c0.abs() + r0).max(c1.abs() + r1).max(c2.abs() + r2).max(c3.abs() + r3);
-            let w0 = &self.w_t[j * rows..(j + 1) * rows];
-            let w1 = &self.w_t[(j + 1) * rows..(j + 2) * rows];
-            let w2 = &self.w_t[(j + 2) * rows..(j + 3) * rows];
-            let w3 = &self.w_t[(j + 3) * rows..(j + 4) * rows];
-            let a0 = &self.abs_t[j * rows..(j + 1) * rows];
-            let a1 = &self.abs_t[(j + 1) * rows..(j + 2) * rows];
-            let a2 = &self.abs_t[(j + 2) * rows..(j + 3) * rows];
-            let a3 = &self.abs_t[(j + 3) * rows..(j + 4) * rows];
+            let w0 = &w_t[j * rows..(j + 1) * rows];
+            let w1 = &w_t[(j + 1) * rows..(j + 2) * rows];
+            let w2 = &w_t[(j + 2) * rows..(j + 3) * rows];
+            let w3 = &w_t[(j + 3) * rows..(j + 4) * rows];
+            let a0 = &abs_t[j * rows..(j + 1) * rows];
+            let a1 = &abs_t[(j + 1) * rows..(j + 2) * rows];
+            let a2 = &abs_t[(j + 2) * rows..(j + 3) * rows];
+            let a3 = &abs_t[(j + 3) * rows..(j + 4) * rows];
             // Four columns per sweep: each accumulator is loaded and stored
             // once per four inputs, and the single-expression adds let the
             // compiler fuse/reassociate freely — the widening below absorbs
@@ -373,8 +430,8 @@ impl SplitMatrix {
         while j < self.cols {
             let (c, r) = (0.5 * (lo[j] + hi[j]), 0.5 * (hi[j] - lo[j]));
             mmax = mmax.max(c.abs() + r);
-            let w = &self.w_t[j * rows..(j + 1) * rows];
-            let a = &self.abs_t[j * rows..(j + 1) * rows];
+            let w = &w_t[j * rows..(j + 1) * rows];
+            let a = &abs_t[j * rows..(j + 1) * rows];
             for i in 0..rows {
                 lo_out[i] += w[i] * c;
                 hi_out[i] += a[i] * r;
@@ -433,14 +490,15 @@ impl SplitMatrix {
         }
         // Two output rows per sweep: the source coefficient rows stream
         // once per pair instead of once per row.
+        let (pos, neg) = self.row_major();
         let mut i = 0;
         while i + 2 <= self.rows {
             let (lo0, lo1) = split_two_rows(&mut lo_out, i, d);
             let (hi0, hi1) = split_two_rows(&mut hi_out, i, d);
-            let p0 = &self.pos[i * self.cols..(i + 1) * self.cols];
-            let n0 = &self.neg[i * self.cols..(i + 1) * self.cols];
-            let p1 = &self.pos[(i + 1) * self.cols..(i + 2) * self.cols];
-            let n1 = &self.neg[(i + 1) * self.cols..(i + 2) * self.cols];
+            let p0 = &pos[i * self.cols..(i + 1) * self.cols];
+            let n0 = &neg[i * self.cols..(i + 1) * self.cols];
+            let p1 = &pos[(i + 1) * self.cols..(i + 2) * self.cols];
+            let n1 = &neg[(i + 1) * self.cols..(i + 2) * self.cols];
             for j in 0..self.cols {
                 let (p0j, n0j, p1j, n1j) = (p0[j], n0[j], p1[j], n1[j]);
                 if p0j == 0.0 && n0j == 0.0 && p1j == 0.0 && n1j == 0.0 {
@@ -464,8 +522,8 @@ impl SplitMatrix {
             i += 2;
         }
         if i < self.rows {
-            let p = &self.pos[i * self.cols..(i + 1) * self.cols];
-            let n = &self.neg[i * self.cols..(i + 1) * self.cols];
+            let p = &pos[i * self.cols..(i + 1) * self.cols];
+            let n = &neg[i * self.cols..(i + 1) * self.cols];
             for j in 0..self.cols {
                 let (pj, nj) = (p[j], n[j]);
                 if pj == 0.0 && nj == 0.0 {
@@ -828,15 +886,50 @@ mod tests {
         let w = random_matrix(&mut rng, 5, 9);
         let s = SplitMatrix::compile(&w);
         assert_eq!((s.rows(), s.cols()), (5, 9));
+        let (pos, neg) = s.row_major();
+        let (w_t, abs_t) = s.mid_rad();
         for i in 0..5 {
+            let mut rowabs = 0.0;
             for j in 0..9 {
-                let v = s.pos[i * 9 + j] + s.neg[i * 9 + j];
+                let v = pos[i * 9 + j] + neg[i * 9 + j];
                 assert_eq!(v, w.get(i, j));
-                assert!(s.pos[i * 9 + j] >= 0.0 && s.neg[i * 9 + j] <= 0.0);
-                assert_eq!(s.pos_t[j * 5 + i], s.pos[i * 9 + j]);
-                assert_eq!(s.neg_t[j * 5 + i], s.neg[i * 9 + j]);
+                assert!(pos[i * 9 + j] >= 0.0 && neg[i * 9 + j] <= 0.0);
+                assert_eq!(s.pos_t[j * 5 + i], pos[i * 9 + j]);
+                assert_eq!(s.neg_t[j * 5 + i], neg[i * 9 + j]);
+                assert_eq!(w_t[j * 5 + i], w.get(i, j));
+                assert_eq!(abs_t[j * 5 + i], w.get(i, j).abs());
+                rowabs += w.get(i, j).abs();
             }
+            assert_eq!(s.rowabs[i], rowabs);
         }
+    }
+
+    #[test]
+    fn layouts_are_built_on_first_use_and_never_change_equality() {
+        let mut rng = Rng::seeded(8);
+        let w = random_matrix(&mut rng, 6, 7);
+        let cold = SplitMatrix::compile(&w);
+        let warm = SplitMatrix::compile(&w);
+        // The Deterministic matvec runs on the compiled split alone.
+        let (lo, hi) = (vec![-1.0; 7], vec![0.5; 7]);
+        let (mut a_lo, mut a_hi) = (vec![0.0; 6], vec![0.0; 6]);
+        warm.fused_interval_matvec(&lo, &hi, &[0.25; 6], &mut a_lo, &mut a_hi);
+        assert!(warm.row_major.get().is_none() && warm.mid_rad.get().is_none());
+        // Every other kernel builds its own layout.
+        let (m_lo, m_hi) = (Matrix::from_fn(7, 3, |_, _| -0.5), Matrix::from_fn(7, 3, |_, _| 1.0));
+        let _ = warm.fused_interval_matmul(&m_lo, &m_hi);
+        assert!(warm.row_major.get().is_some() && warm.mid_rad.get().is_none());
+        warm.fused_interval_matvec_outward(&lo, &hi, &[0.25; 6], &mut a_lo, &mut a_hi);
+        let _ = warm.fused_interval_matmul_outward(&m_lo, &m_hi, &[1.0; 3]);
+        assert!(warm.mid_rad.get().is_some());
+        // A compiled and an uncompiled split compare equal, clones keep
+        // equality, and different weights do not.
+        assert!(cold.row_major.get().is_none() && cold.mid_rad.get().is_none());
+        assert_eq!(warm, cold);
+        assert_eq!(cold, warm.clone());
+        let mut other = w.clone();
+        other.set(2, 3, w.get(2, 3) + 1.0);
+        assert_ne!(cold, SplitMatrix::compile(&other));
     }
 
     #[test]
