@@ -65,7 +65,7 @@ impl std::fmt::Debug for KernelCache {
 /// let g = DenseLayer::from_rows(&[&[1.0, -1.0]], &[0.5], Activation::Relu);
 /// assert_eq!(g.forward(&[2.0, 1.0]), vec![1.5]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DenseLayer {
     weights: Matrix,
     bias: Vec<f64>,
@@ -73,6 +73,19 @@ pub struct DenseLayer {
     /// Lazily compiled kernel forms; see [`Self::split_weights`].
     #[serde(skip)]
     kernel: KernelCache,
+}
+
+impl Deserialize for DenseLayer {
+    /// Decodes through [`DenseLayer::new`], so a bias whose length differs
+    /// from the weight rows is an error, never a layer.
+    fn from_value(value: &serde::Value) -> Result<Self, serde::DeError> {
+        Self::new(
+            Deserialize::from_value(value.field("weights")?)?,
+            Deserialize::from_value(value.field("bias")?)?,
+            Deserialize::from_value(value.field("activation")?)?,
+        )
+        .map_err(|e| serde::DeError::custom(e.to_string()))
+    }
 }
 
 impl DenseLayer {

@@ -27,9 +27,20 @@ use std::fmt;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Network {
     layers: Vec<DenseLayer>,
+}
+
+impl Deserialize for Network {
+    /// Decodes through [`Network::new`]: an empty layer stack or layers
+    /// that disagree on a shared dimension are errors, never a network.
+    /// Every network read from outside the process — protocol frames,
+    /// checkpoints, the cluster store, corpus files — passes here.
+    fn from_value(value: &serde::Value) -> Result<Self, serde::DeError> {
+        Self::new(Deserialize::from_value(value.field("layers")?)?)
+            .map_err(|e| serde::DeError::custom(e.to_string()))
+    }
 }
 
 impl Network {

@@ -871,6 +871,71 @@ mod tests {
     }
 
     #[test]
+    fn malformed_networks_get_error_replies_and_the_connection_keeps_serving() {
+        let service = Service::new(ServiceConfig::default());
+        let rec = Arc::new(RecordingResponder::default());
+        let responder: Arc<dyn Respond> = rec.clone();
+        let open_line =
+            crate::protocol::encode(&Request::new(1, Command::Open(open_params("ok")))).unwrap();
+        let net = crate::protocol::encode(&fig2_net()).unwrap();
+        assert!(open_line.contains(&net));
+        let bad_nets = [
+            // No layers.
+            r#"{"layers":[]}"#.to_owned(),
+            // Weight data shorter than rows x cols.
+            net.replacen("[1.0,-2.0,-2.0,1.0,1.0,-1.0]", "[1.0,-2.0]", 1),
+            // rows x cols overflows usize.
+            net.replacen(r#""rows":3,"cols":2"#, r#""rows":4294967296,"cols":4294967297"#, 1),
+            // Bias length differs from the weight rows.
+            net.replacen(r#""bias":[0.0,0.0,0.0]"#, r#""bias":[0.0]"#, 1),
+            // Consecutive layers disagree on their shared dimension.
+            net.replacen(
+                r#""rows":1,"cols":3,"data":[2.0,2.0,-1.0]"#,
+                r#""rows":1,"cols":2,"data":[2.0,2.0]"#,
+                1,
+            ),
+        ];
+        let _ = service.handle_line(&open_line, &responder);
+        let session = {
+            let rs = rec.responses.lock().unwrap();
+            let Reply::Opened(o) = &rs[0].reply else { panic!("{:?}", rs[0]) };
+            o.session
+        };
+        let mut ids = Vec::new();
+        for (i, bad) in bad_nets.iter().enumerate() {
+            assert_ne!(bad, &net, "case {i} must change the network");
+            let id = 10 + i as u64;
+            let open = open_line.replacen(&net, bad, 1).replacen(
+                r#""id":1,"#,
+                &format!("\"id\":{id},"),
+                1,
+            );
+            let _ = service.handle_line(&open, &responder);
+            let delta = format!(
+                r#"{{"v":"{PROTOCOL_VERSION}","id":{},"cmd":{{"Delta":{{"session":{session},"delta":{{"ModelUpdated":{bad}}}}}}}}}"#,
+                id + 100
+            );
+            let _ = service.handle_line(&delta, &responder);
+            ids.extend([id, id + 100]);
+        }
+        let hello = format!(r#"{{"v":"{PROTOCOL_VERSION}","id":999,"cmd":"Hello"}}"#);
+        let _ = service.handle_line(&hello, &responder);
+        // A well-formed Open of the same problem still opens.
+        let _ = service.handle_line(&open_line, &responder);
+        let rs = rec.responses.lock().unwrap();
+        assert_eq!(rs.len(), 1 + ids.len() + 2);
+        for (r, id) in rs[1..].iter().zip(&ids) {
+            assert_eq!(r.id, *id);
+            let Reply::Error(e) = &r.reply else { panic!("id {id}: {r:?}") };
+            assert_eq!(e.code, ErrorCode::MalformedRequest, "id {id}: {}", e.message);
+        }
+        assert!(matches!(rs[rs.len() - 2].reply, Reply::Hello(_)), "{:?}", rs[rs.len() - 2]);
+        assert!(matches!(rs[rs.len() - 1].reply, Reply::Opened(_)), "{:?}", rs[rs.len() - 1]);
+        assert_eq!(service.stats().sessions_open, 2);
+        assert_eq!(service.stats().deltas_applied, 0);
+    }
+
+    #[test]
     fn checkpoint_resume_roundtrip_preserves_session_state() {
         let service = Service::new(ServiceConfig::default());
         let rec = Arc::new(RecordingResponder::default());

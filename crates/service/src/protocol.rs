@@ -84,8 +84,11 @@ pub struct OpenParams {
     /// Client-side label, echoed in replies and summaries.
     pub label: String,
     /// The network `f` of the original verification — or, when
-    /// `closed_loop` is set, the **controller** — in the bit-exact
-    /// `covern-nn` JSON form.
+    /// `closed_loop` is set, the **controller**. It travels in its derived
+    /// shape, `{"layers":[{"weights":{"rows","cols","data"},"bias",
+    /// "activation"}]}`, with every weight and bias a shortest round-trip
+    /// decimal float (exact on decode), not in the bit-pattern
+    /// `covern-network-v1` file form.
     pub network: Network,
     /// The input domain `Din` (closed loop: mirrors the initial set).
     pub din: BoxDomain,
@@ -312,14 +315,15 @@ pub struct BusyInfo {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ErrorCode {
     /// The line was not a well-formed `Request` (unparseable JSON, missing
-    /// fields, or an unknown command tag).
+    /// fields, an unknown command tag, or a network with no layers or
+    /// inconsistent shapes).
     MalformedRequest,
     /// The `v` field named a protocol this server does not speak.
     UnsupportedVersion,
     /// The referenced session id is not (or no longer) registered.
     UnknownSession,
-    /// The opened problem is invalid (dimension mismatch, empty network,
-    /// malformed boxes) or a resume checkpoint failed to decode.
+    /// The opened problem is invalid (a network that does not fit its
+    /// boxes, malformed boxes) or a resume checkpoint failed to decode.
     InvalidProblem,
     /// A delta was structurally inapplicable to its session (architecture
     /// change, non-enlargement, wrong arity) — the session stays usable.
@@ -375,6 +379,10 @@ pub fn encode<T: Serialize>(msg: &T) -> Result<String, serde_json::Error> {
 /// segment, which Nagle's algorithm holds until the peer's delayed ACK —
 /// tens of milliseconds per round trip. Every sender in the crate (client,
 /// server responder, cluster coordinator) goes through this function.
+///
+/// [`serde_json::to_string`] sizes its buffer with a spare byte, so the
+/// terminator is appended in place: a 185 KB `Open` frame is built once
+/// and never copied.
 ///
 /// # Errors
 ///

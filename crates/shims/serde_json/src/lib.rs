@@ -1,11 +1,17 @@
 //! In-repo shim for the subset of `serde_json` this workspace uses:
 //! [`to_string`] and [`from_str`] over the `serde` shim's [`Value`] tree.
 //!
+//! Floats are written as the shortest decimal that round-trips, byte for
+//! byte as Rust's `{:?}` prints them, and read back exactly; both
+//! directions live in the `number` module.
+//!
 //! The JSON dialect is standard except for one extension in *both*
 //! directions: non-finite floats render as the bare tokens `Infinity`,
 //! `-Infinity`, and `NaN` (real serde_json refuses to emit them). Interval
 //! bounds in this workspace are occasionally infinite, and proof artifacts
 //! must round-trip; the artifacts are only ever read back by this parser.
+
+mod number;
 
 pub use serde::Value;
 use serde::{DeError, Deserialize, Number, Serialize};
@@ -30,10 +36,45 @@ impl From<DeError> for Error {
 }
 
 /// Serializes a value to a compact JSON string.
+///
+/// The string is allocated once, from an upper bound on the text length
+/// plus one byte: writing never regrows it, and a caller that frames the
+/// text as a line appends its `\n` in place.
 pub fn to_string<T: Serialize>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value(&value.to_value(), &mut out);
+    let tree = value.to_value();
+    let bound = text_len_bound(&tree);
+    let mut out = String::with_capacity(bound + 1);
+    write_value(&tree, &mut out);
+    debug_assert!(out.len() <= bound, "text length bound too small");
     Ok(out)
+}
+
+/// An upper bound on the length of `v`'s compact text.
+fn text_len_bound(v: &Value) -> usize {
+    match v {
+        Value::Null | Value::Bool(_) => 5,
+        // The longest number text is an f64 in exponent form,
+        // `-2.2250738585072014e-308`; integers take at most 20 bytes.
+        Value::Num(_) => 24,
+        Value::Str(s) => string_len(s),
+        Value::Array(items) => 2 + items.len() + items.iter().map(text_len_bound).sum::<usize>(),
+        Value::Object(pairs) => {
+            2 + 2 * pairs.len()
+                + pairs.iter().map(|(k, item)| string_len(k) + text_len_bound(item)).sum::<usize>()
+        }
+    }
+}
+
+/// The exact length of `s` as written by [`write_string`].
+fn string_len(s: &str) -> usize {
+    2 + s
+        .bytes()
+        .map(|b| match b {
+            b'"' | b'\\' | b'\n' | b'\r' | b'\t' => 2,
+            0..=0x1f => 6,
+            _ => 1,
+        })
+        .sum::<usize>()
 }
 
 /// Deserializes a value from a JSON string.
@@ -83,9 +124,12 @@ fn write_number(n: Number, out: &mut String) {
         Number::F(x) if x.is_nan() => out.write_str("NaN"),
         Number::F(x) if x == f64::INFINITY => out.write_str("Infinity"),
         Number::F(x) if x == f64::NEG_INFINITY => out.write_str("-Infinity"),
-        // `{:?}` prints the shortest decimal that round-trips the f64
-        // bit-exactly, which the serialization tests rely on.
-        Number::F(x) => write!(out, "{x:?}"),
+        // The shortest decimal that round-trips the f64 bit-exactly, laid
+        // out byte for byte as `{:?}` would.
+        Number::F(x) => {
+            number::write_finite(x, out);
+            Ok(())
+        }
     };
 }
 
@@ -162,58 +206,69 @@ impl<'a> Parser<'a> {
     }
 
     fn value(&mut self) -> Result<Value, Error> {
-        if self.eat_word("null") {
-            return Ok(Value::Null);
-        }
-        if self.eat_word("true") {
-            return Ok(Value::Bool(true));
-        }
-        if self.eat_word("false") {
-            return Ok(Value::Bool(false));
-        }
-        if self.eat_word("NaN") {
-            return Ok(Value::Num(Number::F(f64::NAN)));
-        }
-        if self.eat_word("Infinity") {
-            return Ok(Value::Num(Number::F(f64::INFINITY)));
-        }
-        if self.eat_word("-Infinity") {
-            return Ok(Value::Num(Number::F(f64::NEG_INFINITY)));
-        }
-        match self.peek() {
-            Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
-            Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
-            _ => Err(self.err("expected a JSON value")),
+        // Dispatch on the first byte: numbers, strings and containers —
+        // nearly every value of a weight-carrying frame — never test a
+        // literal word.
+        let (word, value) = match self.peek() {
+            Some(b'"') => return self.string().map(Value::Str),
+            Some(b'[') => return self.array(),
+            Some(b'{') => return self.object(),
+            Some(b'-') if self.bytes[self.pos..].starts_with(b"-Infinity") => {
+                ("-Infinity", Value::Num(Number::F(f64::NEG_INFINITY)))
+            }
+            Some(b'-' | b'0'..=b'9') => return self.number(),
+            Some(b'n') => ("null", Value::Null),
+            Some(b't') => ("true", Value::Bool(true)),
+            Some(b'f') => ("false", Value::Bool(false)),
+            Some(b'N') => ("NaN", Value::Num(Number::F(f64::NAN))),
+            Some(b'I') => ("Infinity", Value::Num(Number::F(f64::INFINITY))),
+            _ => return Err(self.err("expected a JSON value")),
+        };
+        if self.eat_word(word) {
+            Ok(value)
+        } else {
+            Err(self.err("expected a JSON value"))
         }
     }
 
+    /// Reads one number token — an optional `-`, then digits and
+    /// `.eE+-`. Integer literals stay integers (u64 weight-bit patterns
+    /// above 2^53 must not round-trip through f64): non-negative ones as
+    /// `U`, negative ones that fit as `I`; any other token is an f64.
     fn number(&mut self) -> Result<Value, Error> {
+        // A token of the common shapes — every weight on the wire, every
+        // bit pattern in a network file — is scanned and converted in one
+        // pass, if it ends where that shape does.
+        if let Some((n, len)) = number::read_number(&self.bytes[self.pos..]) {
+            let end = self.pos + len;
+            if !matches!(self.bytes.get(end), Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-'))
+            {
+                self.pos = end;
+                return Ok(Value::Num(n));
+            }
+        }
+        // Anything else: scan the token and hand it to the standard
+        // library's parsers, which also reject it if malformed.
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        let mut is_float = false;
-        while let Some(b) = self.peek() {
-            if b.is_ascii_digit() {
-                self.pos += 1;
-            } else if b == b'.' || b == b'e' || b == b'E' || b == b'+' || b == b'-' {
-                is_float = true;
-                self.pos += 1;
-            } else {
-                break;
-            }
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        let int_end = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')) {
+            self.pos += 1;
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
-        // Integer literals stay integers: u64 weight-bit patterns above 2^53
-        // must not round-trip through f64.
-        if !is_float {
-            if let Ok(u) = text.parse::<u64>() {
-                return Ok(Value::Num(Number::U(u)));
-            }
-            if let Ok(i) = text.parse::<i64>() {
-                return Ok(Value::Num(Number::I(i)));
+        if self.pos == int_end {
+            let int = if text.starts_with('-') {
+                text.parse::<i64>().ok().map(Number::I)
+            } else {
+                text.parse::<u64>().ok().map(Number::U)
+            };
+            if let Some(n) = int {
+                return Ok(Value::Num(n));
             }
         }
         text.parse::<f64>()
@@ -394,6 +449,65 @@ mod tests {
         for bytes in [&b"\"a\x80\""[..], &b"\"\xf0\x9f\x98\""[..]] {
             let mut p = Parser { bytes, pos: 0 };
             assert!(p.string().is_err(), "{bytes:?}");
+        }
+    }
+
+    #[test]
+    fn numbers_decode_to_their_width_class() {
+        let num = |s: &str| match parse(s) {
+            Ok(Value::Num(n)) => Ok(n),
+            other => Err(format!("{other:?}")),
+        };
+        assert_eq!(num("0"), Ok(Number::U(0)));
+        assert_eq!(num("007"), Ok(Number::U(7)));
+        assert_eq!(num("18446744073709551615"), Ok(Number::U(u64::MAX)));
+        assert_eq!(num("18446744073709551616"), Ok(Number::F(18446744073709551616.0)));
+        assert_eq!(num("-0"), Ok(Number::I(0)));
+        assert_eq!(num("-5"), Ok(Number::I(-5)));
+        assert_eq!(num("-9223372036854775808"), Ok(Number::I(i64::MIN)));
+        assert_eq!(num("-9223372036854775809"), Ok(Number::F(-9223372036854775809.0)));
+        assert_eq!(num("1.5e3"), Ok(Number::F(1500.0)));
+        assert_eq!(num("1."), Ok(Number::F(1.0)));
+        assert_eq!(num("-.5"), Ok(Number::F(-0.5)));
+        assert_eq!(num("2E+2"), Ok(Number::F(200.0)));
+        assert_eq!(num("-Infinity"), Ok(Number::F(f64::NEG_INFINITY)));
+        for bad in ["-", "-Inf", "1-2", "1e", "--1", "-+1", "Inf", "nul", "NaNa", "-NaN"] {
+            assert!(parse(bad).is_err(), "{bad}");
+        }
+        assert_eq!(parse("[null,true,false]").unwrap(), {
+            Value::Array(vec![Value::Null, Value::Bool(true), Value::Bool(false)])
+        });
+    }
+
+    #[test]
+    fn out_of_range_floats_do_not_saturate_into_integers() {
+        // Unsigned: `1e300 as usize` would saturate to `usize::MAX`.
+        assert!(from_str::<usize>("1e300").is_err());
+        assert!(from_str::<u8>("256.0").is_err());
+        assert!(from_str::<u64>("18446744073709551616.0").is_err());
+        assert!(from_str::<u32>("-1.0").is_err());
+        assert_eq!(from_str::<u8>("255.0").unwrap(), 255);
+        assert_eq!(from_str::<u64>("1e19").unwrap(), 10_000_000_000_000_000_000);
+        // Signed: `-1e300 as i64` would saturate to `i64::MIN`.
+        assert!(from_str::<i64>("-1e300").is_err());
+        assert!(from_str::<i64>("9223372036854775808.0").is_err());
+        assert!(from_str::<i8>("-129.0").is_err());
+        assert_eq!(from_str::<i64>("-9223372036854775808.0").unwrap(), i64::MIN);
+        assert_eq!(from_str::<i8>("-128.0").unwrap(), -128);
+    }
+
+    #[test]
+    fn encoded_text_leaves_room_for_a_terminator() {
+        let weights: Vec<f64> = (0..4096).map(|i| -f64::from(i).sqrt() / 7.0).collect();
+        let texts = [
+            to_string(&weights).unwrap(),
+            to_string(&vec![f64::MIN_POSITIVE; 64]).unwrap(),
+            to_string(&"quote \" back\\slash \n\t\u{1} é😀").unwrap(),
+            to_string(&(u64::MAX, i64::MIN, true, Option::<f64>::None)).unwrap(),
+            to_string(&"").unwrap(),
+        ];
+        for text in texts {
+            assert!(text.capacity() > text.len(), "{} of {}", text.len(), text.capacity());
         }
     }
 

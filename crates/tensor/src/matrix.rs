@@ -19,7 +19,7 @@ use std::ops::{Add, Mul, Sub};
 /// let b = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
 /// assert_eq!(a.matmul(&b), b);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -334,6 +334,25 @@ impl Mul<f64> for &Matrix {
 
     fn mul(self, rhs: f64) -> Matrix {
         self.scale(rhs)
+    }
+}
+
+impl Deserialize for Matrix {
+    /// Decodes the `rows`/`cols`/`data` shape, rejecting a buffer that
+    /// does not hold exactly `rows × cols` entries — the condition
+    /// [`Matrix::from_vec`] asserts — so no decoded matrix can index out
+    /// of bounds.
+    fn from_value(value: &serde::Value) -> Result<Self, serde::DeError> {
+        let rows = usize::from_value(value.field("rows")?)?;
+        let cols = usize::from_value(value.field("cols")?)?;
+        let data = Vec::<f64>::from_value(value.field("data")?)?;
+        if rows.checked_mul(cols) != Some(data.len()) {
+            return Err(serde::DeError::custom(format!(
+                "matrix data has {} entries, expected {rows} x {cols}",
+                data.len()
+            )));
+        }
+        Ok(Self { rows, cols, data })
     }
 }
 
